@@ -54,11 +54,9 @@ from repro.perf import (
 from repro.multisite.spec import BROKER_POLICIES
 from repro.scenarios import (
     CampaignRunner,
-    ShardSpec,
     builtin_specs,
     get_scenario,
     run_scenario,
-    run_sharded_scenario,
 )
 from repro.telemetry import (
     Telemetry,
@@ -282,25 +280,12 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
         # Build the collector here (rather than letting the runner resolve
         # the spec knob) so the CLI can read it back for the summary/exports.
         telemetry = Telemetry() if spec.telemetry else None
-        if args.shards > 1:
-            result = run_sharded_scenario(
-                spec,
-                seed=args.seed,
-                telemetry=telemetry,
-                sharding=ShardSpec(shards=args.shards, workers=args.shard_workers),
-            )
-        else:
-            result = run_scenario(spec, seed=args.seed, telemetry=telemetry)
+        result = run_scenario(spec, seed=args.seed, telemetry=telemetry)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.record_out and telemetry is not None:
-        record = build_run_record(
-            spec,
-            result,
-            telemetry,
-            shards=args.shards if args.shards > 1 else None,
-        )
+        record = build_run_record(spec, result, telemetry)
         record_path = record.save(
             Path(args.record_out) / record_filename(record)
         )
@@ -639,18 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument(
         "--execution", default=None, choices=("event", "batched"),
         help="execution mode (batched = vectorised fast path)",
-    )
-    scenario_run.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the user population across N worker processes "
-        "(batched execution with a static broker only; shards=1 is "
-        "bit-identical to an unsharded run)",
-    )
-    scenario_run.add_argument(
-        "--shard-workers", type=int, default=None, dest="shard_workers",
-        metavar="N",
-        help="process-pool size for --shards (default: one per shard; "
-        "1 runs every shard sequentially in-process)",
     )
     scenario_run.add_argument(
         "--broker", default=None,

@@ -15,9 +15,8 @@ Amazon account).
 
 Two solvers are provided with identical interfaces:
 
-* :class:`IlpAllocator` — exact optimisation via :func:`scipy.optimize.milp`
-  when available, with a pure-Python exact branch-and-bound fallback (per
-  acceleration group, since groups do not share instances the problem
+* :class:`IlpAllocator` — exact optimisation by a pure-Python branch-and-bound
+  (per acceleration group: since groups do not share instances the problem
   decomposes into independent small knapsack-style subproblems coupled only
   by the instance cap).
 * :class:`GreedyAllocator` — a cost-per-capacity greedy baseline used by the
@@ -30,16 +29,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
-
-try:  # scipy.optimize.milp exists from scipy 1.9 onwards
-    from scipy.optimize import LinearConstraint, milp
-    from scipy.optimize import Bounds as _Bounds
-
-    _HAVE_SCIPY_MILP = True
-except ImportError:  # pragma: no cover - depends on installed scipy version
-    _HAVE_SCIPY_MILP = False
 
 
 class AllocationError(RuntimeError):
@@ -110,9 +99,9 @@ class AllocationProblem:
         With ``strict_demand`` (the paper's strict ``>`` inequality) the
         capacity must strictly exceed the workload; we realise that as
         ``workload + epsilon`` so integer capacities equal to the workload are
-        rejected, matching the constraint as printed.  The epsilon is chosen
-        large enough (1e-3 users) to survive the feasibility tolerance of the
-        MILP solver while remaining far below one user.
+        rejected, matching the constraint as printed.  The epsilon (1e-3 users)
+        stays far below one user, so with integer capacities it is exactly
+        the strict inequality.
         """
         workload = self.group_workloads.get(group, 0)
         if workload == 0:
@@ -300,14 +289,12 @@ def build_group_options(
 class IlpAllocator:
     """Exact cost-minimising allocator.
 
-    Uses :func:`scipy.optimize.milp` when available and falls back to an exact
-    per-group branch-and-bound enumeration otherwise.  Both paths produce the
-    same optimal plans (the fallback is also used as a cross-check in the test
-    suite).
+    Solves the ILP by per-group branch-and-bound: each demanded group's
+    Pareto-optimal (instance count, cost) covers are enumerated, then the
+    cheapest combination within the instance cap is picked.  The enumeration
+    is exponential only in the number of options per group, which is small
+    for every catalog in the system.
     """
-
-    def __init__(self, *, prefer_scipy: bool = True) -> None:
-        self.prefer_scipy = prefer_scipy and _HAVE_SCIPY_MILP
 
     def allocate(self, problem: AllocationProblem) -> AllocationPlan:
         """Solve the allocation ILP; raises :class:`AllocationError` if infeasible."""
@@ -325,52 +312,7 @@ class IlpAllocator:
                 raise AllocationError(
                     f"no instance option can serve acceleration group {group}"
                 )
-        if self.prefer_scipy:
-            plan = self._allocate_scipy(problem)
-            if plan is not None:
-                return plan
         return self._allocate_branch_and_bound(problem)
-
-    # -- scipy path ----------------------------------------------------------
-
-    def _allocate_scipy(self, problem: AllocationProblem) -> Optional[AllocationPlan]:
-        options = list(problem.options)
-        costs = np.array([option.cost_per_hour for option in options], dtype=float)
-        demanded = problem.demanded_groups()
-
-        constraints = []
-        # Per-group capacity constraints: sum of capacities >= workload (+eps).
-        for group in demanded:
-            row = np.array(
-                [
-                    option.capacity if option.acceleration_group == group else 0.0
-                    for option in options
-                ],
-                dtype=float,
-            )
-            constraints.append(
-                LinearConstraint(row, lb=problem.required_capacity(group), ub=np.inf)
-            )
-        # Account cap: total instances <= cap.
-        constraints.append(
-            LinearConstraint(np.ones(len(options)), lb=0, ub=problem.instance_cap)
-        )
-        bounds = _Bounds(lb=np.zeros(len(options)), ub=np.full(len(options), problem.instance_cap))
-        result = milp(
-            c=costs,
-            constraints=constraints,
-            integrality=np.ones(len(options)),
-            bounds=bounds,
-        )
-        if not result.success:
-            return None
-        counts = {
-            option.type_name: int(round(x))
-            for option, x in zip(options, result.x)
-        }
-        return self._finalise_plan(problem, counts, solver="scipy-milp")
-
-    # -- exact fallback -------------------------------------------------------
 
     def _allocate_branch_and_bound(self, problem: AllocationProblem) -> AllocationPlan:
         """Exact enumeration, decomposed per acceleration group.

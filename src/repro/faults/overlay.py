@@ -98,27 +98,6 @@ class FaultOverlay:
     def __len__(self) -> int:
         return int(self.outcome.size)
 
-    def take(self, picks: np.ndarray) -> "FaultOverlay":
-        """A copy holding only the requests at ``picks`` (sharding primitive).
-
-        Built after the full-plan overlay so the retry-ladder draws keep
-        their positional stability; the per-request verdict arrays are
-        simply row-sliced alongside the plan's.
-        """
-        picks = np.asarray(picks)
-        return FaultOverlay(
-            spec=self.spec,
-            duration_ms=self.duration_ms,
-            attempts=self.attempts[picks],
-            outcome=self.outcome[picks],
-            extra_latency_ms=self.extra_latency_ms[picks],
-            rtt_factor=self.rtt_factor[picks],
-            final_attempt_ms=self.final_attempt_ms[picks],
-            rerouted=self.rerouted[picks],
-            killed=self.killed[picks],
-            local_ms=self.local_ms[picks],
-        )
-
     def set_local_execution(
         self, plan: RequestPlan, local_speed_of_user: np.ndarray
     ) -> None:

@@ -36,7 +36,7 @@ drop totals).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.faults.overlay import (
     FAULT_CONTROL_STREAM,
     FAULT_STREAM,
     OUTCOME_DEGRADED_LOCAL,
+    OUTCOME_DROPPED,
     OUTCOME_OK,
     MultisiteFaultPlane,
     build_fault_overlay,
@@ -128,6 +129,11 @@ class FederationMetrics:
     success_response_ms: np.ndarray
     utilization_samples: List[float]
     per_site: List[SiteExecutionStats]
+    #: Per request: the requesting acceleration group of every request the
+    #: executor skipped for a fault verdict (degraded-local or dropped), -1
+    #: elsewhere.  The fold attributes those requests to their site's group
+    #: rows with it; ``None`` when the run has no fault plane.
+    fault_groups: "np.ndarray | None" = None
 
 
 def sample_network_for_sites(
@@ -256,6 +262,9 @@ def execute_event_multisite(
     per_site: List[SiteExecutionStats] = [SiteExecutionStats() for _ in federation]
     unrouted = 0
     fault_outcome = None if fault_plane is None else fault_plane.overlay.outcome
+    fault_groups = (
+        None if fault_outcome is None else np.full(len(plan), -1, dtype=np.int64)
+    )
 
     def _completion_for(user_id: int):
         callback = completion_callbacks.get(user_id)
@@ -369,6 +378,7 @@ def execute_event_multisite(
                 if fault_outcome is not None and fault_outcome[index] != OUTCOME_OK:
                     # Degraded-local / fault-dropped: never dispatches; the
                     # verdict is tallied at fold time, from the overlay.
+                    fault_groups[index] = device.acceleration_group
                     return
                 site = federation.site(site_index)
                 # Per-group site tallies key on the *requesting* group — the
@@ -459,6 +469,7 @@ def execute_event_multisite(
         success_response_ms=successes,
         utilization_samples=utilization_samples,
         per_site=per_site,
+        fault_groups=fault_groups,
     )
 
 
@@ -534,6 +545,9 @@ def execute_batched_multisite(
     arrival = plan.arrival_ms
     site_ids = slot_broker.site_ids
     fault_outcome = None if fault_plane is None else fault_plane.overlay.outcome
+    fault_groups = (
+        None if fault_outcome is None else np.full(len(plan), -1, dtype=np.int64)
+    )
 
     requests_total = 0
     dropped_total = 0
@@ -578,6 +592,9 @@ def execute_batched_multisite(
             work = plan.work_units[i0:i1]
             jitter = plan.jitter_z[i0:i1]
             window_sites = site_ids[i0:i1]
+            if fault_groups is not None:
+                skipped = np.flatnonzero(fault_outcome[i0:i1] != OUTCOME_OK)
+                fault_groups[i0 + skipped] = window_user_groups[skipped]
 
             # Excluded fault positions keep delivered = inf, so every
             # recorded-based tally below skips them for free.
@@ -725,6 +742,7 @@ def execute_batched_multisite(
         success_response_ms=responses,
         utilization_samples=utilization_samples,
         per_site=per_site,
+        fault_groups=fault_groups,
     )
 
 
@@ -738,8 +756,6 @@ def run_multisite_scenario(
     *,
     seed: int = 0,
     telemetry=None,
-    shard: Optional[Tuple[int, int]] = None,
-    raw_sink: Optional[Dict[str, object]] = None,
 ) -> ScenarioResult:
     """Execute one multi-site scenario end to end (both execution modes).
 
@@ -747,35 +763,22 @@ def run_multisite_scenario(
     optional collaborator resolved against ``spec.telemetry``, observing but
     never changing the run (per-site signals additionally roll up through
     :func:`repro.analysis.metrics.federation_rollup` into the registry).
-
-    ``shard``/``raw_sink`` mirror the single-site runner's sharding hooks
-    (see :mod:`repro.scenarios.sharded`): ``(index, count)`` restricts the
-    executed plan to users with ``user_id % count == index`` after all RNG
-    draws, and ``raw_sink`` captures pre-aggregation arrays the parent fold
-    needs.  Sharding requires a static brokering policy — the dynamic
-    broker's live load view is global and cannot be replicated per shard.
     """
     if spec.sites is None:
         raise ValueError(f"scenario {spec.name!r} declares no sites")
     telemetry = resolve_telemetry(telemetry, spec.telemetry)
     with telemetry.span("scenario.run"):
-        return _run_multisite(spec, seed, telemetry, shard=shard, raw_sink=raw_sink)
+        return _run_multisite(spec, seed, telemetry)
 
 
-def _run_multisite(
-    spec: ScenarioSpec,
-    seed: int,
-    telemetry,
-    shard: Optional[Tuple[int, int]] = None,
-    raw_sink: Optional[Dict[str, object]] = None,
-) -> ScenarioResult:
-    streams = RandomStreams(seed)
-    engine = SimulationEngine()
-    rng_workload = streams.stream("scenario-workload")
-    rng_devices = streams.stream("scenario-devices")
-    rng_routing = streams.stream("scenario-sdn")
-
+def _run_multisite(spec: ScenarioSpec, seed: int, telemetry) -> ScenarioResult:
     with telemetry.span("scenario.setup"):
+        streams = RandomStreams(seed)
+        engine = SimulationEngine()
+        rng_workload = streams.stream("scenario-workload")
+        rng_devices = streams.stream("scenario-devices")
+        rng_routing = streams.stream("scenario-sdn")
+
         task = DEFAULT_TASK_POOL.get(spec.task_name)
         duration_ms = spec.duration_ms
         slot_ms = spec.slot_length_ms
@@ -901,32 +904,6 @@ def _run_multisite(
                 ),
             )
 
-        # --- shard slice: applied *after* every named-stream draw so each
-        # shard sees positionally identical randomness, then keeps only the
-        # rows of users it owns.  Per-user state (devices, moderators,
-        # home_site_of_user) stays full-length — it is indexed by user id.
-        if shard is not None and shard[1] > 1:
-            if slot_broker.is_dynamic:
-                raise ValueError(
-                    "sharded execution requires a static brokering policy; "
-                    "the dynamic-load broker re-brokers from global live "
-                    "state every slot and cannot be replicated per shard"
-                )
-            shard_index, shard_count = shard
-            picks = np.flatnonzero(plan.user_ids % shard_count == shard_index)
-            plan = plan.take(picks)
-            slot_broker = StaticSlotBroker(
-                plan=plan,
-                brokered=BrokeredPlan(
-                    site_ids=slot_broker.site_ids[picks],
-                    extra_rtt_ms=slot_broker.extra_rtt_ms[picks],
-                    home_site_of_user=slot_broker.home_site_of_user,
-                ),
-                site_count=len(spec.sites.sites),
-            )
-            if fault_plane is not None:
-                fault_plane.overlay = fault_plane.overlay.take(picks)
-
     if spec.execution == "batched":
         metrics = execute_batched_multisite(
             spec=spec,
@@ -970,8 +947,80 @@ def _run_multisite(
             telemetry=telemetry,
             plan=plan,
             fault_plane=fault_plane,
-            raw_sink=raw_sink,
         )
+
+
+def _tally_fault_outcomes(
+    metrics: FederationMetrics,
+    site_ids: np.ndarray,
+    outcome: np.ndarray,
+    faulted: np.ndarray,
+) -> None:
+    """Add fault-resolved requests to their last-assigned site's tallies.
+
+    Degraded-local and fault-dropped requests never reach an executor, so
+    the executors' per-site stats miss them.  Each one joins the site the
+    broker last assigned it to (``site_ids``) — totals, drops and the group
+    row of the acceleration group it was requested at.
+    """
+    if not np.any(faulted):
+        return
+    groups = metrics.fault_groups[faulted]
+    if np.any(groups < 0):
+        raise RuntimeError(
+            f"{int(np.count_nonzero(groups < 0))} fault-resolved requests "
+            "carry no requesting group"
+        )
+    keys, inverse = np.unique(
+        np.stack([site_ids[faulted], groups], axis=1), axis=0, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    totals = np.bincount(inverse, minlength=len(keys))
+    drops = np.bincount(
+        inverse[outcome[faulted] == OUTCOME_DROPPED], minlength=len(keys)
+    )
+    for (site_index, group), total, dropped in zip(keys, totals, drops):
+        stats = metrics.per_site[int(site_index)]
+        stats.requests_total += int(total)
+        stats.requests_dropped += int(dropped)
+        stats.tally_group(int(group), int(total), int(dropped))
+
+
+def _check_site_ledger(
+    *,
+    requests_total: int,
+    requests_dropped: int,
+    requests_unrouted: int,
+    sites: List[SiteResult],
+) -> None:
+    """Raise unless every request is counted exactly once at every level.
+
+    The sites plus the broker-unrouted requests make up the global total
+    and the global drops (an unrouted request is a drop), and each site's
+    group rows make up that site.
+    """
+    site_total = sum(site.requests_total for site in sites)
+    site_dropped = sum(site.requests_dropped for site in sites)
+    if site_total + requests_unrouted != requests_total:
+        raise RuntimeError(
+            f"request ledger broken: sites count {site_total} + "
+            f"{requests_unrouted} unrouted, global total is {requests_total}"
+        )
+    if site_dropped + requests_unrouted != requests_dropped:
+        raise RuntimeError(
+            f"request ledger broken: sites drop {site_dropped} + "
+            f"{requests_unrouted} unrouted, global drops are {requests_dropped}"
+        )
+    for site in sites:
+        group_total = sum(row.requests_total for row in site.groups)
+        group_dropped = sum(row.requests_dropped for row in site.groups)
+        site_counts = (site.requests_total, site.requests_dropped)
+        if (group_total, group_dropped) != site_counts:
+            raise RuntimeError(
+                f"request ledger broken at site {site.name!r}: group rows "
+                f"count {group_total} ({group_dropped} dropped), the site "
+                f"{site.requests_total} ({site.requests_dropped} dropped)"
+            )
 
 
 def _fold_multisite_result(
@@ -986,7 +1035,6 @@ def _fold_multisite_result(
     telemetry,
     plan: "RequestPlan | None" = None,
     fault_plane: "MultisiteFaultPlane | None" = None,
-    raw_sink: Optional[Dict[str, object]] = None,
 ) -> ScenarioResult:
     successes = metrics.success_response_ms
     requests_total = metrics.requests_total
@@ -1047,6 +1095,8 @@ def _fold_multisite_result(
             sids[routed_mask & (overlay.outcome == OUTCOME_DEGRADED_LOCAL)],
             minlength=site_count,
         )
+        faulted = routed_mask & (overlay.outcome != OUTCOME_OK)
+        _tally_fault_outcomes(metrics, sids, overlay.outcome, faulted)
 
     accuracies: List[float] = []
     predictions_total = 0
@@ -1095,19 +1145,12 @@ def _fold_multisite_result(
             )
         )
 
-    if raw_sink is not None:
-        # Pre-aggregation arrays the sharded parent fold needs: means and
-        # percentiles are recomputed over the shard-concatenated raw samples
-        # rather than averaged from per-shard aggregates.
-        raw_sink["successes"] = successes
-        raw_sink["utilization_samples"] = list(metrics.utilization_samples)
-        raw_sink["accuracy_samples"] = list(accuracies)
-        raw_sink["site_successes"] = [
-            metrics.per_site[site.index].success_response_ms for site in federation
-        ]
-        raw_sink["site_utilization_samples"] = [
-            list(site.utilization_samples) for site in federation
-        ]
+    _check_site_ledger(
+        requests_total=requests_total,
+        requests_dropped=dropped_total,
+        requests_unrouted=metrics.requests_unrouted,
+        sites=site_results,
+    )
 
     if telemetry.enabled:
         registry = telemetry.registry

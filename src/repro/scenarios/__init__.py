@@ -37,7 +37,6 @@ from repro.scenarios.runner import (
     build_arrival_process,
     run_scenario,
 )
-from repro.scenarios.sharded import ShardOutcome, run_sharded_scenario
 from repro.scenarios.spec import (
     ARRIVAL_PATTERNS,
     EXECUTION_MODES,
@@ -49,7 +48,6 @@ from repro.scenarios.spec import (
     NetworkSpec,
     PolicySpec,
     ScenarioSpec,
-    ShardSpec,
     WorkloadSpec,
 )
 
@@ -69,8 +67,6 @@ __all__ = [
     "PolicySpec",
     "ScenarioResult",
     "ScenarioSpec",
-    "ShardOutcome",
-    "ShardSpec",
     "SiteResult",
     "WorkloadSpec",
     "build_arrival_process",
@@ -79,6 +75,5 @@ __all__ = [
     "get_scenario",
     "register_scenario",
     "run_scenario",
-    "run_sharded_scenario",
     "scenario_names",
 ]

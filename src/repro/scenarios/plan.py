@@ -71,25 +71,6 @@ class RequestPlan:
         """Post-execution delay: the downlink half of both hops."""
         return (self.t1_ms + self.t2_ms) / 2.0
 
-    def take(self, picks: np.ndarray) -> "RequestPlan":
-        """A copy holding only the requests at ``picks`` (in ``picks`` order).
-
-        This is the sharding primitive: a shard re-draws the *full* plan from
-        the shared named streams (positional stability), then keeps just its
-        own users' rows.  ``picks`` must be sorted for arrival order — and
-        hence the searchsorted slot windows — to stay valid.
-        """
-        picks = np.asarray(picks)
-        return RequestPlan(
-            arrival_ms=self.arrival_ms[picks],
-            user_ids=self.user_ids[picks],
-            work_units=self.work_units[picks],
-            jitter_z=self.jitter_z[picks],
-            t1_ms=self.t1_ms[picks],
-            t2_ms=self.t2_ms[picks],
-            routing_ms=self.routing_ms[picks],
-        )
-
     def with_network(self, t1_ms: np.ndarray, t2_ms: np.ndarray) -> "RequestPlan":
         """A copy with the network draws replaced.
 

@@ -257,9 +257,8 @@ def diff_records(
     instruments whose names match at least one ``fnmatch`` pattern (e.g.
     ``["slot.*", "requests.*"]``).  Filtered-out instruments are ignored
     entirely — they contribute neither deltas nor only-in-one-side entries —
-    which is how the sharded CI smoke compares only the signals that are
-    invariant across shard counts (arrival series, request counters) while
-    the replicated control plane legitimately diverges.
+    so two runs that share a data plane but differ elsewhere (e.g. a
+    resilience A/B twin) can be compared on the signals they agree on.
     """
     counter_names = sorted(
         name

@@ -200,39 +200,6 @@ class MetricsRegistry:
             },
         }
 
-    def absorb_payload(self, payload: Dict[str, object]) -> None:
-        """Fold another registry's :meth:`as_dict` payload into this one.
-
-        This is the sharded runner's cross-process merge: each worker ships
-        its registry as a payload dict and the parent sums them.  Merge
-        semantics per instrument kind:
-
-        * **counters** — summed (event counts are additive across shards).
-        * **gauges** — summed.  Shard gauges describe each shard's replica
-          (pending events, per-replica cost/utilization endpoints), so the
-          merged value is a fleet-wide total, not a point-in-time reading of
-          one process; documented in the sharded-execution notes.
-        * **histograms** — bucket counts, totals and counts summed; the
-          bucket edges are part of the instrument's identity and must match
-          exactly.
-        """
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).inc(float(value))
-        for name, value in payload.get("gauges", {}).items():
-            gauge = self.gauge(name)
-            gauge.set(gauge.value + float(value))
-        for name, data in payload.get("histograms", {}).items():
-            edges = tuple(float(edge) for edge in data["edges"])
-            histogram = self.histogram(name, edges)
-            if histogram.edges != edges:
-                raise ValueError(
-                    f"histogram {name!r} edges differ across shards: "
-                    f"{histogram.edges} vs {edges}"
-                )
-            histogram.counts += np.asarray(data["counts"], dtype=np.int64)
-            histogram.total += float(data["sum"])
-            histogram.count += int(data["count"])
-
     def rows(self) -> List[Dict[str, object]]:
         """One display row per instrument (the CLI summary-table schema)."""
         rows: List[Dict[str, object]] = []

@@ -226,32 +226,6 @@ class SlotSeriesRecorder:
                 self._slot_counts(arrivals, mask, slot_ms=slot_ms, periods=periods),
             )
 
-    def absorb_payload(self, payload: Dict[str, object]) -> None:
-        """Fold another recorder's :meth:`as_dict` payload into this one.
-
-        The sharded runner's cross-process series merge: count-valued series
-        (``slot.requests``, ``site.<name>.requests``, fault verdict counts)
-        are additive across shards, so every series is summed elementwise.
-        Fleet-state series are summed too — each shard runs its own control
-        plane replica, so the merged trajectory is the fleet-wide instance
-        total, one of the documented sharding semantics.  Series present in
-        only one side are taken as-is; lengths must agree when both sides
-        carry a series (all shards run the same slot grid).
-        """
-        for name, values in payload.get("series", {}).items():
-            existing = self._series.get(name)
-            if existing is None:
-                self.set_series(name, values)
-                continue
-            if len(existing) != len(values):
-                raise ValueError(
-                    f"series {name!r} length differs across shards: "
-                    f"{len(existing)} vs {len(values)}"
-                )
-            self._series[name] = [
-                float(a) + float(b) for a, b in zip(existing, values)
-            ]
-
     # -- exports --------------------------------------------------------------
 
     def __len__(self) -> int:

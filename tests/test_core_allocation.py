@@ -60,10 +60,9 @@ class TestAllocationProblem:
         assert relaxed.required_capacity(1) == 10.0
 
 
-@pytest.fixture(params=["scipy", "fallback"])
-def allocator(request) -> IlpAllocator:
-    """Run every allocator test against both the scipy and the exact fallback paths."""
-    return IlpAllocator(prefer_scipy=(request.param == "scipy"))
+@pytest.fixture
+def allocator() -> IlpAllocator:
+    return IlpAllocator()
 
 
 class TestIlpAllocator:
@@ -117,7 +116,7 @@ class TestIlpAllocator:
     def test_solver_label_is_set(self, allocator):
         problem = AllocationProblem(options=OPTIONS, group_workloads={1: 5})
         plan = allocator.allocate(problem)
-        assert plan.solver in {"scipy-milp", "branch-and-bound"}
+        assert plan.solver == "branch-and-bound"
 
     def test_prefers_one_big_instance_when_cheaper(self, allocator):
         # Group 2 workload of 120 with a cheap bulk option: one bulk instance
@@ -129,7 +128,9 @@ class TestIlpAllocator:
         assert plan.counts["t2.large"] == 0
 
 
-class TestScipyAndFallbackAgree:
+class TestBruteForceOracle:
+    """Branch-and-bound against exhaustive joint enumeration (``conftest``)."""
+
     @pytest.mark.parametrize(
         "workloads",
         [
@@ -140,12 +141,19 @@ class TestScipyAndFallbackAgree:
             {1: 33, 3: 149},
         ],
     )
-    def test_same_optimal_cost(self, workloads):
+    def test_same_optimal_cost(self, workloads, allocation_oracle):
         problem = AllocationProblem(options=OPTIONS, group_workloads=workloads)
-        scipy_plan = IlpAllocator(prefer_scipy=True).allocate(problem)
-        exact_plan = IlpAllocator(prefer_scipy=False).allocate(problem)
-        assert scipy_plan.total_cost == pytest.approx(exact_plan.total_cost, rel=1e-6)
-        assert scipy_plan.feasible and exact_plan.feasible
+        plan = IlpAllocator().allocate(problem)
+        assert plan.feasible
+        assert plan.total_cost == pytest.approx(allocation_oracle(problem), rel=1e-9)
+
+    def test_infeasible_exactly_when_the_oracle_finds_no_cover(self, allocation_oracle):
+        problem = AllocationProblem(
+            options=(NANO, LARGE), group_workloads={1: 35, 2: 90}, instance_cap=6
+        )
+        assert allocation_oracle(problem) is None
+        with pytest.raises(AllocationError):
+            IlpAllocator().allocate(problem)
 
 
 class TestGreedyAllocator:

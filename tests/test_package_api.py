@@ -56,3 +56,41 @@ class TestSubpackageExports:
         assert repro.workload.ReplayResult is not None
         with pytest.raises(AttributeError):
             repro.workload.does_not_exist  # noqa: B018
+
+
+class TestDependencyGuard:
+    """Importing the package or its CLI loads only numpy beyond the stdlib.
+
+    numpy is the one runtime dependency ``setup.py`` declares; any other
+    third-party import would add start-up time to every CLI call and every
+    campaign pool worker.
+    """
+
+    @pytest.mark.parametrize("module_name", ["repro", "repro.cli"])
+    def test_import_loads_only_stdlib_and_numpy(self, module_name):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH", "")])
+        )
+        script = (
+            "import sys\n"
+            "before = {name.split('.')[0] for name in sys.modules}\n"
+            f"import {module_name}\n"
+            "after = {name.split('.')[0] for name in sys.modules}\n"
+            "print(' '.join(sorted(after - before - set(sys.stdlib_module_names))))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        # __mp_main__ is the stdlib multiprocessing alias of __main__.
+        assert set(completed.stdout.split()) <= {"numpy", "repro", "__mp_main__"}

@@ -108,6 +108,35 @@ option_strategy = st.builds(
 )
 
 
+@st.composite
+def small_problems(draw):
+    """Allocation problems small enough to enumerate: <=3 groups, <=3 options
+    per group, cap <= 6 — some infeasible, some with unservable groups."""
+    groups = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    options = []
+    for group in groups:
+        for index in range(draw(st.integers(min_value=0, max_value=3))):
+            options.append(
+                InstanceOption(
+                    f"g{group}-{index}",
+                    group,
+                    draw(st.floats(min_value=0.01, max_value=5.0, allow_nan=False)),
+                    draw(st.floats(min_value=1.0, max_value=60.0, allow_nan=False)),
+                )
+            )
+    if not options:
+        options.append(InstanceOption("g1-only", 1, 0.1, 10.0))
+    workloads = {
+        group: draw(st.integers(min_value=0, max_value=80)) for group in groups
+    }
+    return AllocationProblem(
+        options=tuple(options),
+        group_workloads=workloads,
+        instance_cap=draw(st.integers(min_value=1, max_value=6)),
+        strict_demand=draw(st.booleans()),
+    )
+
+
 class TestAllocationProperties:
     @given(
         options=st.lists(option_strategy, min_size=1, max_size=4, unique_by=lambda o: o.type_name),
@@ -121,7 +150,7 @@ class TestAllocationProperties:
     @settings(max_examples=60, deadline=None)
     def test_plans_are_feasible_and_within_cap_or_error(self, options, workloads):
         problem = AllocationProblem(options=tuple(options), group_workloads=workloads, instance_cap=20)
-        allocator = IlpAllocator(prefer_scipy=False)
+        allocator = IlpAllocator()
         try:
             plan = allocator.allocate(problem)
         except AllocationError:
@@ -133,27 +162,21 @@ class TestAllocationProperties:
             assert plan.group_capacities.get(group, 0.0) > workloads[group]
 
     @given(
-        workloads=st.dictionaries(
-            keys=st.integers(min_value=1, max_value=2),
-            values=st.integers(min_value=0, max_value=40),
-            min_size=1,
-            max_size=2,
-        )
+        problem=small_problems(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_scipy_and_fallback_agree_on_optimal_cost(self, workloads):
-        options = (
-            InstanceOption("nano", 1, 0.0063, 10.0),
-            InstanceOption("small", 1, 0.025, 25.0),
-            InstanceOption("large", 2, 0.101, 40.0),
-        )
-        problem = AllocationProblem(options=options, group_workloads=workloads, instance_cap=20)
-        try:
-            exact = IlpAllocator(prefer_scipy=False).allocate(problem)
-        except AllocationError:
+    @settings(max_examples=80, deadline=None)
+    def test_branch_and_bound_matches_brute_force_oracle(
+        self, problem, allocation_oracle
+    ):
+        optimum = allocation_oracle(problem)
+        if optimum is None:
+            with pytest.raises(AllocationError):
+                IlpAllocator().allocate(problem)
             return
-        scipy_plan = IlpAllocator(prefer_scipy=True).allocate(problem)
-        assert scipy_plan.total_cost == pytest.approx(exact.total_cost, rel=1e-6, abs=1e-9)
+        plan = IlpAllocator().allocate(problem)
+        assert plan.feasible
+        assert plan.total_instances <= problem.instance_cap
+        assert plan.total_cost == pytest.approx(optimum, rel=1e-9, abs=1e-12)
 
     @given(
         workloads=st.dictionaries(
@@ -176,7 +199,7 @@ class TestAllocationProperties:
             group_workloads={g: w * scale for g, w in workloads.items()},
             instance_cap=1000,
         )
-        allocator = IlpAllocator(prefer_scipy=False)
+        allocator = IlpAllocator()
         assert allocator.allocate(big).total_cost >= allocator.allocate(small).total_cost
 
 

@@ -1,5 +1,7 @@
 """Tests for the parallel campaign runner."""
 
+import pickle
+
 import pytest
 
 from repro.analysis.reporting import read_csv
@@ -9,6 +11,7 @@ from repro.scenarios import (
     WorkloadSpec,
     derive_scenario_seed,
 )
+from repro.scenarios.pool import execution_context
 
 
 def tiny_spec(name: str, **kwargs) -> ScenarioSpec:
@@ -163,3 +166,20 @@ class TestMixedTelemetryRecordAlignment:
         campaign = CampaignRunner(workers=2, seed=0).run(specs)
         assert campaign.records[0] is None
         assert campaign.records[1].scenario == "pool-traced"
+
+
+class TestSpawnPickleContract:
+    """Every pool payload must survive the spawn/forkserver pickler."""
+
+    def test_execution_context_is_pinned(self):
+        method = execution_context().get_start_method()
+        assert method in ("forkserver", "spawn")
+
+    def test_campaign_job_round_trips(self):
+        from repro.scenarios.campaign import _run_job
+
+        spec = tiny_spec("pickled", workload=WorkloadSpec(target_requests=120))
+        job = pickle.loads(pickle.dumps((spec, 3, False)))
+        result, record = _run_job(job)
+        assert result.requests_total > 0
+        assert record is None

@@ -238,6 +238,42 @@ class TestDiff:
         )
 
 
+class TestDiffFilters:
+    """``--counter``/``--series`` restrict a diff to the signals two runs share.
+
+    The resilience A/B twin offers the same request population (identical
+    ``scenario.requests_total`` and ``slot.requests``) while its drop and
+    fault counters legitimately differ.
+    """
+
+    def make_records(self):
+        spec = small("spot-preemption-storm", execution="batched")
+        bare = dataclasses.replace(spec, faults=spec.faults.without_resilience())
+        return record_for(spec, 3), record_for(bare, 3)
+
+    def test_filtered_diff_pins_the_invariant_surface(self):
+        resilient, bare = self.make_records()
+        full = diff_records(resilient, bare)
+        assert full.verdict == "regression"
+        filtered = diff_records(
+            resilient,
+            bare,
+            counter_filter=["scenario.requests_total"],
+            series_filter=["slot.requests"],
+        )
+        assert filtered.verdict == "identical"
+        assert [entry.name for entry in filtered.counters] == [
+            "scenario.requests_total"
+        ]
+        assert [entry.name for entry in filtered.series] == ["slot.requests"]
+
+    def test_empty_filter_compares_everything(self):
+        resilient, bare = self.make_records()
+        assert diff_records(resilient, bare).counters == diff_records(
+            resilient, bare, counter_filter=None, series_filter=None
+        ).counters
+
+
 class TestExports:
     @pytest.fixture(scope="class")
     def record(self):
